@@ -10,9 +10,9 @@
    `dune exec bench/main.exe -- table5 figure6`.  Known names:
    tables12, table3, table4, table5, figure1, figure5, figure6,
    ablation-capacity, ablation-complexity, ablation-models,
-   ablation-lookahead, ablation-granularity, multi-battery,
+   ablation-horizon, ablation-granularity, multi-battery,
    random-ensemble, cross-validation, optimal-bench, batch-bench,
-   montecarlo-bench, micro.
+   montecarlo-bench, horizon-bench, serve-bench, micro.
 
    `-j N` (or `--jobs N`) renders independent table/figure artifacts
    concurrently on an Exec.Pool of N domains — each artifact formats
@@ -20,8 +20,8 @@
    the output is byte-identical to the serial run.  The two
    timing-sensitive artifacts (optimal-bench, micro) always run
    serially, after the others; optimal-bench additionally measures the
-   serial-vs-parallel speedup of the optimal search and of a 50-load
-   ensemble, and writes the measurements to BENCH_parallel.json;
+   serial-vs-parallel speedup of a 50-load ensemble, and writes the
+   measurements to BENCH_parallel.json;
    batch-bench measures the struct-of-arrays batch engine against the
    scalar simulator (results asserted bit-identical) and merges its
    battery-steps/sec record into the same file's "batch" block. *)
@@ -110,11 +110,11 @@ let ablation_models ppf =
   section ppf "Ablation S9: KiBaM vs Rakhmatov-Vrudhula diffusion model";
   Batsched.Report.model_comparison ppf (Batsched.Experiments.model_comparison ())
 
-let ablation_lookahead ppf =
-  section ppf "Ablation X2: bounded lookahead between best-of and optimal";
+let ablation_horizon ppf =
+  section ppf "Ablation X2: receding-horizon planning between best-of and optimal";
   let load = Loads.Testloads.ILs_r1 in
-  Batsched.Report.lookahead_sweep ppf ~load
-    (Batsched.Experiments.lookahead_sweep ~load ~depths:[ 1; 2; 3; 4; 6; 8 ] ())
+  Batsched.Report.horizon_sweep ppf ~load
+    (Batsched.Experiments.horizon_sweep ~load ~ks:[ 1; 2; 3; 4; 6; 8 ] ())
 
 let ablation_granularity ppf =
   section ppf "Ablation A3: discretization granularity (paper sections 2.3, 4.4)";
@@ -273,7 +273,7 @@ let optimal_bench ~jobs ppf =
   Format.fprintf ppf "  %-8s %9s %10s %9s  %s@." "load" "wall ms" "positions"
     "segments" "cursor schedules (epochs, jobs)";
   let total = ref 0.0 and total_sched = ref 0 in
-  let serial_times =
+  let load_rows =
     List.map
       (fun name ->
         let a = Batsched.Experiments.arrays_of name in
@@ -288,7 +288,7 @@ let optimal_bench ~jobs ppf =
           ms r.stats.positions_explored r.stats.segments_run
           (Loads.Cursor.epoch_count cursor)
           (Loads.Cursor.job_count cursor);
-        (name, ms))
+        (Loads.Testloads.to_string name, ms))
       Loads.Testloads.all_names;
   in
   Format.fprintf ppf
@@ -308,23 +308,6 @@ let optimal_bench ~jobs ppf =
   Exec.Pool.with_pool ~domains (fun pool ->
       Format.fprintf ppf "  %-30s %12s %12s %9s@." "workload" "serial ms"
         "parallel ms" "speedup";
-      (* per-load optimal search: root fan-out *)
-      let load_rows =
-        List.map
-          (fun (name, serial_ms) ->
-            let a = Batsched.Experiments.arrays_of name in
-            ignore (Sched.Optimal.search ~pool ~n_batteries:2 disc a);
-            let _, par_ms =
-              time_ms (fun () -> Sched.Optimal.search ~pool ~n_batteries:2 disc a)
-            in
-            let label =
-              Printf.sprintf "optimal %s" (Loads.Testloads.to_string name)
-            in
-            Format.fprintf ppf "  %-30s %12.2f %12.2f %8.2fx@." label serial_ms
-              par_ms (serial_ms /. par_ms);
-            (Loads.Testloads.to_string name, serial_ms, par_ms))
-          serial_times
-      in
       (* the headline workload: a 50-load random ensemble with the
          per-load optimal search — fanned out one load per task *)
       let run_ensemble ?pool () =
@@ -405,12 +388,10 @@ let optimal_bench ~jobs ppf =
         (Printf.sprintf "  \"single_core\": %b,\n" single_core);
       Buffer.add_string buf "  \"optimal_loads\": [\n";
       List.iteri
-        (fun i (name, s, p) ->
+        (fun i (name, ms) ->
           Buffer.add_string buf
-            (Printf.sprintf
-               "    {\"load\": \"%s\", \"serial_ms\": %.3f, \"parallel_ms\": \
-                %.3f, \"speedup\": %.3f}%s\n"
-               (json_escape name) s p (s /. p)
+            (Printf.sprintf "    {\"load\": \"%s\", \"serial_ms\": %.3f}%s\n"
+               (json_escape name) ms
                (if i = List.length load_rows - 1 then "" else ",")))
         load_rows;
       Buffer.add_string buf "  ],\n";
@@ -444,7 +425,7 @@ let optimal_bench ~jobs ppf =
           | Some b ->
               Buffer.add_string buf
                 (Printf.sprintf "  \"%s\": %s,\n" key (pretty_json ~indent:1 b)))
-        [ "batch"; "montecarlo"; "horizon" ];
+        [ "batch"; "montecarlo"; "horizon"; "serve" ];
       Buffer.add_string buf "  \"obs\": ";
       Buffer.add_string buf obs_json;
       Buffer.add_string buf "\n}\n";
@@ -1304,9 +1285,9 @@ let micro ppf =
         (Staged.stage
            (let model = Takibam.Model.build ~n_batteries:2 disc ils_alt in
             fun () -> ignore (Pta.Uppaal.network model.Takibam.Model.network)));
-      Test.make ~name:"sched: lookahead-4 run (2xB1, ILs alt)"
+      Test.make ~name:"sched: horizon-4 run (2xB1, ILs alt)"
         (Staged.stage
-           (let policy = Sched.Optimal.lookahead_policy ~depth:4 disc ils_alt in
+           (let policy = Sched.Horizon.policy ~k:4 () in
             fun () ->
               ignore
                 (Sched.Simulator.lifetime_exn ~n_batteries:2 ~policy disc ils_alt)));
@@ -1356,7 +1337,7 @@ let render_artifacts =
     ("ablation-capacity", ablation_capacity);
     ("ablation-complexity", ablation_complexity);
     ("ablation-models", ablation_models);
-    ("ablation-lookahead", ablation_lookahead);
+    ("ablation-horizon", ablation_horizon);
     ("ablation-granularity", ablation_granularity);
     ("multi-battery", multi_battery);
     ("random-ensemble", random_ensemble);

@@ -18,9 +18,9 @@
      dot       — dump the TA-KiBaM network as Graphviz
      uppaal    — export the TA-KiBaM as an Uppaal/Cora XML model
 
-   The search-heavy subcommands (compare, schedule, ensemble,
-   montecarlo) take --jobs N to fan the work out over N domains via
-   Exec.Pool; results are identical to --jobs 1, only faster.
+   The fleet subcommands (ensemble, montecarlo) take --jobs N to fan
+   the work out over N domains via Exec.Pool; results are identical to
+   --jobs 1.
 
    Every subcommand honours --stats (print the lib/obs counters after
    the output) and --trace FILE (record a Chrome trace_event JSON);
@@ -225,8 +225,8 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Run the optimal search / ensemble over $(docv) domains \
-           (default 1 = serial; results are identical either way).")
+          "Fan the work out over $(docv) domains (default 1 = serial; \
+           results are identical either way).")
 
 let no_bounds_arg =
   Arg.(
@@ -433,8 +433,8 @@ let lifetime_cmd =
   Cmd.v (Cmd.info "lifetime" ~doc:"Battery lifetime for one test load.") term
 
 let compare_cmd =
-  let run obs battery n jobs budget no_bounds horizon_k horizon_budget spec
-      named pos_load =
+  let run obs battery n budget no_bounds horizon_k horizon_budget spec named
+      pos_load =
     with_obs obs @@ fun () ->
     protect @@ fun () ->
     check_horizon horizon_k horizon_budget @@ fun () ->
@@ -458,43 +458,42 @@ let compare_cmd =
                     arrays
                 in
                 with_budget budget @@ fun budget ->
-                with_jobs jobs (fun pool ->
-                    Printf.printf "load %s, %d x %s batteries:\n" label n
-                      battery;
-                    Printf.printf "  sequential : %8.3f min\n"
-                      (lt Sched.Policy.Sequential);
-                    Printf.printf "  round robin: %8.3f min\n"
-                      (lt Sched.Policy.Round_robin);
-                    Printf.printf "  best-of    : %8.3f min\n"
-                      (lt Sched.Policy.Best_of);
-                    Printf.printf "  %-11s: %8.3f min\n"
-                      (policy_label ~horizon_k ~horizon_budget Horizon)
-                      (lt (policy_of_spec ~horizon_k ~horizon_budget Horizon));
-                    let r =
-                      Sched.Optimal.search ?pool ?budget
-                        ?bounds:(bounds_of_flag no_bounds) ~n_batteries:n disc
-                        arrays
-                    in
-                    Printf.printf "  optimal    : %8.3f min\n"
-                      (Dkibam.Discretization.minutes_of_steps disc
-                         r.lifetime_steps);
-                    print_status r.status;
-                    match r.status with
-                    | Sched.Optimal.Optimal -> 0
-                    | Sched.Optimal.Budget_exhausted _ -> exit_budget)))
+                Printf.printf "load %s, %d x %s batteries:\n" label n
+                  battery;
+                Printf.printf "  sequential : %8.3f min\n"
+                  (lt Sched.Policy.Sequential);
+                Printf.printf "  round robin: %8.3f min\n"
+                  (lt Sched.Policy.Round_robin);
+                Printf.printf "  best-of    : %8.3f min\n"
+                  (lt Sched.Policy.Best_of);
+                Printf.printf "  %-11s: %8.3f min\n"
+                  (policy_label ~horizon_k ~horizon_budget Horizon)
+                  (lt (policy_of_spec ~horizon_k ~horizon_budget Horizon));
+                let r =
+                  Sched.Optimal.search ?budget
+                    ?bounds:(bounds_of_flag no_bounds) ~n_batteries:n disc
+                    arrays
+                in
+                Printf.printf "  optimal    : %8.3f min\n"
+                  (Dkibam.Discretization.minutes_of_steps disc
+                     r.lifetime_steps);
+                print_status r.status;
+                match r.status with
+                | Sched.Optimal.Optimal -> 0
+                | Sched.Optimal.Budget_exhausted _ -> exit_budget))
   in
   let term =
     Term.(
-      const run $ obs_term $ battery_arg $ n_batteries_arg $ jobs_arg
-      $ budget_term $ no_bounds_arg $ horizon_k_arg $ horizon_budget_arg
-      $ spec_arg $ named_load_arg $ opt_load_arg)
+      const run $ obs_term $ battery_arg $ n_batteries_arg $ budget_term
+      $ no_bounds_arg $ horizon_k_arg $ horizon_budget_arg $ spec_arg
+      $ named_load_arg $ opt_load_arg)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"All scheduling policies side by side on one load.")
     term
 
 let schedule_cmd =
-  let run obs battery n jobs budget no_bounds spec horizon_k horizon_budget
+  let run obs battery n budget no_bounds spec horizon_k horizon_budget
       ckpt_file ckpt_every resume load =
     with_obs obs @@ fun () ->
     protect @@ fun () ->
@@ -553,34 +552,33 @@ let schedule_cmd =
               (Sched.Optimal.checkpoint ~every_segments:ckpt_every ~resume)
               ckpt_file
           in
-          with_jobs jobs (fun pool ->
-              match
-                Sched.Optimal.search ?pool ?budget ?checkpoint
-                  ?bounds:(bounds_of_flag no_bounds) ~n_batteries:n disc arrays
-              with
-              | exception Guard.Error.Error e ->
-                  (* e.g. a checkpoint from different inputs on --resume *)
-                  structured_failure e
-              | r ->
-                  Printf.printf
-                    "%s schedule for %s (%d x %s): lifetime %.3f min, %d \
-                     decisions\n"
-                    (match r.Sched.Optimal.status with
-                    | Sched.Optimal.Optimal -> "optimal"
-                    | Sched.Optimal.Budget_exhausted _ -> "anytime")
-                    (Loads.Testloads.to_string load)
-                    n battery
-                    (Dkibam.Discretization.minutes_of_steps disc
-                       r.lifetime_steps)
-                    (Array.length r.schedule);
-                  print_status r.status;
-                  Array.iteri
-                    (fun k b ->
-                      Printf.printf "  decision %2d -> battery %d\n" k b)
-                    r.schedule;
-                  match r.Sched.Optimal.status with
-                  | Sched.Optimal.Optimal -> 0
-                  | Sched.Optimal.Budget_exhausted _ -> exit_budget)
+          match
+            Sched.Optimal.search ?budget ?checkpoint
+              ?bounds:(bounds_of_flag no_bounds) ~n_batteries:n disc arrays
+          with
+          | exception Guard.Error.Error e ->
+              (* e.g. a checkpoint from different inputs on --resume *)
+              structured_failure e
+          | r ->
+              Printf.printf
+                "%s schedule for %s (%d x %s): lifetime %.3f min, %d \
+                 decisions\n"
+                (match r.Sched.Optimal.status with
+                | Sched.Optimal.Optimal -> "optimal"
+                | Sched.Optimal.Budget_exhausted _ -> "anytime")
+                (Loads.Testloads.to_string load)
+                n battery
+                (Dkibam.Discretization.minutes_of_steps disc
+                   r.lifetime_steps)
+                (Array.length r.schedule);
+              print_status r.status;
+              Array.iteri
+                (fun k b ->
+                  Printf.printf "  decision %2d -> battery %d\n" k b)
+                r.schedule;
+              match r.Sched.Optimal.status with
+              | Sched.Optimal.Optimal -> 0
+              | Sched.Optimal.Budget_exhausted _ -> exit_budget
         end)
   in
   let ckpt_file_arg =
@@ -590,8 +588,8 @@ let schedule_cmd =
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
             "Periodically snapshot the search memo to $(docv) (atomic \
-             temp-file+rename writes; forces the serial search).  A killed \
-             run can then continue with --resume.")
+             temp-file+rename writes).  A killed run can then continue with \
+             --resume.")
   in
   let ckpt_every_arg =
     Arg.(
@@ -616,13 +614,13 @@ let schedule_cmd =
           ~doc:
             "Simulate $(docv) (sequential | round-robin | best-of | horizon) \
              and print the schedule it produces instead of searching for the \
-             optimal one.  The search flags (--jobs, --deadline, \
-             --checkpoint, ...) apply only to the default optimal search.")
+             optimal one.  The search flags (--deadline, --checkpoint, \
+             ...) apply only to the default optimal search.")
   in
   let term =
     Term.(
-      const run $ obs_term $ battery_arg $ n_batteries_arg $ jobs_arg
-      $ budget_term $ no_bounds_arg $ sched_policy_arg $ horizon_k_arg
+      const run $ obs_term $ battery_arg $ n_batteries_arg $ budget_term
+      $ no_bounds_arg $ sched_policy_arg $ horizon_k_arg
       $ horizon_budget_arg $ ckpt_file_arg $ ckpt_every_arg $ resume_arg
       $ load_arg)
   in

@@ -216,7 +216,7 @@ let cross_validate () =
       && fast.stranded_units = ta.stranded_units;
   }
 
-let lookahead_sweep ?(load = Loads.Testloads.ILs_r1) ~depths () =
+let horizon_sweep ?(load = Loads.Testloads.ILs_r1) ~ks () =
   let disc = Dkibam.Discretization.paper_b1 in
   let arrays = arrays_of load in
   let best_of =
@@ -225,10 +225,10 @@ let lookahead_sweep ?(load = Loads.Testloads.ILs_r1) ~depths () =
   in
   let rows =
     List.map
-      (fun depth ->
-        let policy = Sched.Optimal.lookahead_policy ~depth disc arrays in
-        (Some depth, Sched.Simulator.lifetime_exn ~n_batteries:2 ~policy disc arrays))
-      depths
+      (fun k ->
+        let policy = Sched.Horizon.policy ~k () in
+        (Some k, Sched.Simulator.lifetime_exn ~n_batteries:2 ~policy disc arrays))
+      ks
   in
   ((None, best_of) :: rows)
   @ [ (None, Sched.Optimal.lifetime ~n_batteries:2 disc arrays) ]
@@ -280,14 +280,14 @@ let multi_battery ?(ns = [ 2; 3; 4 ]) ?(load = Loads.Testloads.ILs_alt) () =
   List.map
     (fun n ->
       (* the exhaustive search is exponential in the pack size (paper
-         section 4.4): beyond 3 batteries substitute the bounded-lookahead
-         policy, which the ablation shows tracks the optimum closely *)
+         section 4.4): beyond 3 batteries substitute the receding-horizon
+         planner, which the ablation shows tracks the optimum closely *)
       if n <= 3 then
         (n, Sched.Analysis.compare_policies ~n_batteries:n disc arrays)
       else begin
         let policies =
           Sched.Analysis.default_policies
-          @ [ ("lookahead 6", Sched.Optimal.lookahead_policy ~depth:6 disc arrays) ]
+          @ [ (Sched.Horizon.name ~k:4 (), Sched.Horizon.policy ~k:4 ()) ]
         in
         ( n,
           Sched.Analysis.compare_policies ~policies ~include_optimal:false

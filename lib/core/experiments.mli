@@ -111,15 +111,16 @@ val cross_validate : unit -> cross_validation
     optimal stranded charge and lifetime ([switch_delay = 0], skip race
     mirrored — see {!Sched.Optimal}). *)
 
-val lookahead_sweep :
+val horizon_sweep :
   ?load:Loads.Testloads.name ->
-  depths:int list ->
+  ks:int list ->
   unit ->
   (int option * float) list
 (** Ablation X2: the implementable middle ground between best-of and the
     clairvoyant optimum.  Returns [(None, best_of_lifetime)] followed by
-    [(Some depth, lifetime)] per requested lookahead depth and finally
-    [(None, optimal)] — consumed by {!Report.lookahead_sweep}. *)
+    [(Some k, lifetime)] per requested {!Sched.Horizon} window of [k]
+    jobs and finally [(None, optimal)] — consumed by
+    {!Report.horizon_sweep}. *)
 
 type granularity_row = {
   g_time_step : float;
@@ -144,4 +145,5 @@ val multi_battery :
 (** Beyond the paper: the Table-5 comparison generalized to packs of
     [ns] (default [\[2; 3; 4\]]) B1 batteries on [load] (default ILs
     alt).  Search cost grows exponentially with the pack size (§4.4), so
-    the default load is one the optimal search still handles at n = 4. *)
+    packs beyond three batteries are compared against the horizon-4
+    planner ({!Sched.Horizon}) instead of the exhaustive optimum. *)

@@ -126,9 +126,9 @@ let cross_validation ppf (c : Experiments.cross_validation) =
     c.fast_lifetime_steps c.fast_stranded c.ta_lifetime_steps c.ta_stranded
     (if c.agrees then "AGREE" else "DISAGREE")
 
-let lookahead_sweep ppf ~load rows =
+let horizon_sweep ppf ~load rows =
   Format.fprintf ppf
-    "Lookahead ablation (X2): bounded-horizon scheduling on %s, two B1 \
+    "Horizon ablation (X2): receding-horizon scheduling on %s, two B1 \
      batteries@."
     (Loads.Testloads.to_string load);
   Format.fprintf ppf "%12s %14s@." "policy" "lifetime(min)";
@@ -137,7 +137,7 @@ let lookahead_sweep ppf ~load rows =
     (fun k (depth, lt) ->
       let label =
         match depth with
-        | Some d -> Printf.sprintf "lookahead %d" d
+        | Some k -> Sched.Horizon.name ~k ()
         | None -> if k = 0 then "best-of-two" else if k = n - 1 then "optimal" else "?"
       in
       Format.fprintf ppf "%12s %14.2f@." label lt)

@@ -22,7 +22,7 @@ val cross_validation : Format.formatter -> Experiments.cross_validation -> unit
 val pct_diff : float -> float -> float
 (** [pct_diff measured reference] = 100·(measured − reference)/reference. *)
 
-val lookahead_sweep :
+val horizon_sweep :
   Format.formatter -> load:Loads.Testloads.name -> (int option * float) list -> unit
 
 val granularity_sweep :

@@ -61,15 +61,6 @@ let stranded_units batteries =
 
 let stranded t = stranded_units t.batteries
 
-let alive_available_milli t =
-  let acc = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if not t.dead.(i) then
-        acc := !acc + Dkibam.Battery.available_milli_units t.disc b)
-    t.batteries;
-  !acc
-
 type serve_outcome = Completed | Died of int
 
 let serve ?tick t ~b (sch : Loads.Cursor.schedule) =

@@ -59,10 +59,6 @@ val stranded : t -> int
 val stranded_units : Dkibam.Battery.t array -> int
 (** Same, over a bare battery array (e.g. a simulator outcome). *)
 
-val alive_available_milli : t -> int
-(** Available charge (milli-units) summed over alive batteries — the
-    frontier heuristic of bounded-lookahead search. *)
-
 (** {2 The serving loop} *)
 
 type serve_outcome =

@@ -14,7 +14,6 @@ let c_searches = Obs.counter "optimal.searches"
 let c_exhausted = Obs.counter "optimal.budget_exhausted"
 let h_depth = Obs.histogram "optimal.depth"
 let s_search = Obs.span "optimal.search"
-let s_branch = Obs.span "optimal.branch"
 
 type fallback = Search_prefix | Policy_floor
 
@@ -97,7 +96,9 @@ let run_segment cursor ~switch_delay ~skip_final pos b =
       end
 
 (* Canonical memo key: decision point plus the multiset of battery states
-   (identical cells make schedules confluent up to battery renaming). *)
+   (identical cells make schedules confluent up to battery renaming).
+   [frontier], when given, is prepended: a window value depends on where
+   its window ends. *)
 module Key = struct
   type t = int array
 
@@ -108,7 +109,7 @@ module Key = struct
     Array.iter (fun v -> h := (!h lxor v) * 0x100000001b3 land max_int) a;
     !h
 
-  let of_pos (p : pos) =
+  let of_pos ?frontier (p : pos) =
     let n = Bank.size p.bank in
     let cells =
       Array.init n (fun i ->
@@ -119,20 +120,126 @@ module Key = struct
             Bank.is_dead p.bank i ))
     in
     Array.sort compare cells;
-    let key = Array.make (2 + (4 * n)) 0 in
-    key.(0) <- p.y;
-    key.(1) <- p.local;
+    let off = match frontier with None -> 0 | Some _ -> 1 in
+    let key =
+      Array.make (off + 2 + (4 * n)) (Option.value frontier ~default:0)
+    in
+    key.(off) <- p.y;
+    key.(off + 1) <- p.local;
     Array.iteri
       (fun i (n_gamma, m_delta, clock, d) ->
-        key.(2 + (4 * i)) <- n_gamma;
-        key.(3 + (4 * i)) <- m_delta;
-        key.(4 + (4 * i)) <- clock;
-        key.(5 + (4 * i)) <- (if d then 1 else 0))
+        let j = off + 2 + (4 * i) in
+        key.(j) <- n_gamma;
+        key.(j + 1) <- m_delta;
+        key.(j + 2) <- clock;
+        key.(j + 3) <- (if d then 1 else 0))
       cells;
     key
 end
 
 module Tbl = Hashtbl.Make (Key)
+
+(* ------------------------------------------------------------------ *)
+(* The search core                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One memoized, bound-pruned recursion serves [search] (its root, its
+   interior and its schedule replay) and [plan].  Everything that
+   differs between the two is data fixed once per call, so [explore]
+   never asks which caller it serves. *)
+type core = {
+  cursor : Loads.Cursor.t;
+  switch_delay : int;
+  skip_too : bool;  (* also branch on eliding an epoch's final draw *)
+  frontier : int;  (* positions in epochs >= [frontier] score [at_frontier] *)
+  at_frontier : pos -> int;
+  terminal : int * int -> int;  (* value of (death step, stranded units) *)
+  exhausted : unit -> int;  (* value when the load ends with a battery alive *)
+  seed : pos -> int;  (* achievable floor on an interior node's value *)
+  upper : pos -> int;  (* admissible ceiling; [Bound.infinite]: cannot cut *)
+  key : pos -> Key.t;
+  memo : int Tbl.t;
+  (* Cross-call shared store: lookups fall through the private table to
+     it (copying hits local, so a shared shard lock is taken once per
+     distinct position); stores publish to both. *)
+  shared : Memo.scope option;
+  charge : unit -> unit;  (* once per simulated segment *)
+  on_position : int -> unit;  (* once per explored position, given its depth *)
+  segments : int ref;
+  hits : int ref;
+  misses : int ref;
+  cuts : int ref;
+}
+
+let lookup c key =
+  match Tbl.find_opt c.memo key with
+  | Some _ as v -> v
+  | None -> (
+      match c.shared with
+      | None -> None
+      | Some s -> (
+          match Memo.find s key with
+          | Some v ->
+              Tbl.replace c.memo key v;
+              Some v
+          | None -> None))
+
+let store c key v =
+  Tbl.replace c.memo key v;
+  match c.shared with Some s -> Memo.add s key v | None -> ()
+
+let no_settle _ _ _ = ()
+
+(* Exact value of the unsolved position [p] (memo key [key]), memoized
+   before it is returned.  The node's running best starts at [seed];
+   a child whose upper bound cannot beat it is cut, every other child
+   is reported to [settled] as (battery, skip_final, value). *)
+let rec explore c ~depth ~seed ~settled key (p : pos) =
+  incr c.misses;
+  c.on_position depth;
+  let best = ref seed in
+  let choose b skip_final =
+    let v = child c ~depth ~best:!best p b skip_final in
+    if v > min_int then begin
+      settled b skip_final v;
+      if v > !best then best := v
+    end
+  in
+  List.iter
+    (fun b ->
+      choose b false;
+      if c.skip_too then choose b true)
+    (Bank.alive p.bank);
+  (* a decision point always has at least one alive battery *)
+  assert (!best > min_int);
+  store c key !best;
+  !best
+
+(* Value of serving [p] with battery [b]; [min_int] for a cut child. *)
+and child c ~depth ~best p b skip_final =
+  incr c.segments;
+  c.charge ();
+  match run_segment c.cursor ~switch_delay:c.switch_delay ~skip_final p b with
+  | Terminal t -> c.terminal t
+  | Exhausted -> c.exhausted ()
+  | Next p' when p'.y >= c.frontier -> c.at_frontier p'
+  | Next p' -> (
+      let key = c.key p' in
+      (* memoized children are looked up before the bound check, so hit
+         counts match the unpruned search exactly *)
+      match lookup c key with
+      | Some v ->
+          incr c.hits;
+          v
+      | None ->
+          let ub = c.upper p' in
+          if ub < Bound.infinite && ub <= best then begin
+            incr c.cuts;
+            min_int
+          end
+          else
+            explore c ~depth:(depth + 1) ~seed:(c.seed p') ~settled:no_settle
+              key p')
 
 (* Checkpoint framing (Guard.Checkpoint does the atomic write and the
    checksum; see doc/ROBUSTNESS.md).  The fingerprint digests every
@@ -164,7 +271,7 @@ let fingerprint ~switch_delay ~objective ~allow_final_draw_skip ~initial
             initial )
           []))
 
-let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
+let search ?budget ?checkpoint ?shared ?(switch_delay = 1)
     ?(objective = Max_lifetime) ?bounds ?(allow_final_draw_skip = false)
     ?initial ~n_batteries (disc : Dkibam.Discretization.t)
     (load : Loads.Arrays.t) =
@@ -191,20 +298,22 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     else None
   in
   (* Objective-specific admissible upper bound on [score] at a position;
-     [None] when the bound cannot cut — in particular whenever some
-     continuation might outlive the load, because a pruned subtree must
-     be provably free of [Load_too_short]. *)
-  let score_ub bd (p : pos) =
-    let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
-    if ub >= Bound.infinite then None
-    else
-      match objective with
-      | Max_lifetime -> Some ub
-      | Min_stranded ->
-          Some (-Bound.stranded_lb bd ~y:p.y ~local:p.local p.bank)
-      | Min_lifetime ->
-          let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
-          if lb >= Bound.infinite then None else Some (-lb)
+     [Bound.infinite] when the bound cannot cut — in particular whenever
+     some continuation might outlive the load, because a pruned subtree
+     must be provably free of [Load_too_short]. *)
+  let upper (p : pos) =
+    match bound with
+    | None -> Bound.infinite
+    | Some bd -> (
+        let ub = Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank in
+        if ub >= Bound.infinite then Bound.infinite
+        else
+          match objective with
+          | Max_lifetime -> ub
+          | Min_stranded -> -Bound.stranded_lb bd ~y:p.y ~local:p.local p.bank
+          | Min_lifetime ->
+              let lb = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
+              if lb >= Bound.infinite then Bound.infinite else -lb)
   in
   (* Achievable floor on a node's value: every continuation that dies
      scores at least this much, so seeding [best] with it keeps the
@@ -224,10 +333,7 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         | Min_stranded -> min_int)
   in
   let memo : int Tbl.t = Tbl.create 4096 in
-  let segments = ref 0
-  and pruned = ref 0
-  and misses = ref 0
-  and cuts = ref 0 in
+  let segments = ref 0 in
   (* Budget hooks.  [armed] is cleared once the search phase ends so the
      replay below (all memo hits) and the floor fallback can never trip;
      with no budget both hooks are no-ops and the search is bit-identical
@@ -245,13 +351,11 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         Guard.Budget.check_exn b
     | _ -> ()
   in
-  (* Checkpointing (serial search only — [?pool] is ignored when a
-     checkpoint is given).  Snapshots only ever contain fully-solved
-     positions: an entry reaches [memo] after its whole subtree has been
-     evaluated, so a snapshot taken mid-search — or left behind by a
-     killed process — preloads as a pure cache and the resumed search
-     returns the same lifetime, stranded charge and schedule as an
-     uninterrupted run. *)
+  (* Checkpointing.  Snapshots only ever contain fully-solved positions:
+     an entry reaches [memo] after its whole subtree has been evaluated,
+     so a snapshot taken mid-search — or left behind by a killed process
+     — preloads as a pure cache and the resumed search returns the same
+     lifetime, stranded charge and schedule as an uninterrupted run. *)
   let fp =
     lazy
       (fingerprint ~switch_delay ~objective ~allow_final_draw_skip ~initial
@@ -295,111 +399,58 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
       | Error Guard.Checkpoint.Missing -> ()
       | Error (Guard.Checkpoint.Bad e) -> Guard.Error.raise_exn e)
   | _ -> ());
-  (* Cross-request shared store (Sched.Memo): lookups fall through the
-     local table to the shared one (copying hits local, so the shared
-     shard lock is taken once per distinct position); stores publish to
-     both.  The scope fingerprint digests every input the values depend
-     on, so entries never leak across loads, packs or objectives; the
-     values themselves are exact, so warmth changes the work, never the
-     result — bit-identity cold/warm/evicted is asserted in
-     test/test_memo.ml.  Safe from concurrent searches on any domain
-     (Memo is sharded + locked; the local table stays private). *)
-  let shared_scope =
-    Option.map
-      (fun m -> Memo.scope m ~fingerprint:("search|" ^ Lazy.force fp))
-      shared
+  (* The shared store (Sched.Memo) is scoped by a fingerprint of every
+     input the values depend on, so entries never leak across loads,
+     packs or objectives; the values themselves are exact, so warmth
+     changes the work, never the result — bit-identity cold/warm/evicted
+     is asserted in test/test_memo.ml.  Safe from concurrent searches on
+     any domain (Memo is sharded + locked; the local table stays
+     private). *)
+  let core =
+    {
+      cursor;
+      switch_delay;
+      skip_too = allow_final_draw_skip;
+      frontier = max_int;
+      at_frontier = (fun _ -> assert false);
+      terminal = score;
+      exhausted = (fun () -> raise Load_too_short);
+      seed = seed_score;
+      upper;
+      key = (fun p -> Key.of_pos p);
+      memo;
+      shared =
+        Option.map
+          (fun m -> Memo.scope m ~fingerprint:("search|" ^ Lazy.force fp))
+          shared;
+      charge;
+      (* [depth] counts decisions from the root and only feeds the
+         observability histogram *)
+      on_position =
+        (fun depth ->
+          note_position ();
+          Obs.observe h_depth depth;
+          maybe_ckpt ());
+      segments;
+      hits = ref 0;
+      misses = ref 0;
+      cuts = ref 0;
+    }
   in
-  let find_memo tbl key =
-    match Tbl.find_opt tbl key with
-    | Some _ as v -> v
-    | None -> (
-        match shared_scope with
-        | None -> None
-        | Some s -> (
-            match Memo.find s key with
-            | Some v ->
-                Tbl.replace tbl key v;
-                Some v
-            | None -> None))
-  in
-  let store_memo tbl key v =
-    Tbl.replace tbl key v;
-    match shared_scope with Some s -> Memo.add s key v | None -> ()
-  in
-  let skip_options = if allow_final_draw_skip then [ false; true ] else [ false ] in
-  let choices (p : pos) =
-    List.concat_map
-      (fun b -> List.map (fun sk -> (b, sk)) skip_options)
-      (Bank.alive p.bank)
-  in
-  (* The recursive exact value of a position, memoized in [memo] with
-     hit/miss/segment counters [pruned]/[misses]/[segments].
-     Parameterized over the table so that parallel root branches can
-     each own one.  [depth] counts decisions from the root and only
-     feeds the observability histogram. *)
-  let rec value_in memo segments pruned misses cuts ~depth (p : pos) =
-    let key = Key.of_pos p in
-    match find_memo memo key with
+  let value key p =
+    match lookup core key with
     | Some v ->
-        incr pruned;
+        incr core.hits;
         v
     | None ->
-        incr misses;
-        note_position ();
-        Obs.observe h_depth depth;
-        maybe_ckpt ();
-        let best = ref (seed_score p) in
-        List.iter
-          (fun (b, skip_final) ->
-            incr segments;
-            charge ();
-            match run_segment cursor ~switch_delay ~skip_final p b with
-            | Terminal t -> if score t > !best then best := score t
-            | Next p' -> (
-                (* memoized children are looked up before the bound check
-                   so hit/miss counts match the unpruned search exactly *)
-                match find_memo memo (Key.of_pos p') with
-                | Some v ->
-                    incr pruned;
-                    if v > !best then best := v
-                | None ->
-                    let cut =
-                      match bound with
-                      | Some bd -> (
-                          match score_ub bd p' with
-                          | Some ub -> ub <= !best
-                          | None -> false)
-                      | None -> false
-                    in
-                    if cut then incr cuts
-                    else
-                      let v =
-                        value_in memo segments pruned misses cuts
-                          ~depth:(depth + 1) p'
-                      in
-                      if v > !best then best := v)
-            | Exhausted -> raise Load_too_short)
-          (choices p);
-        (* a decision point always has at least one alive battery *)
-        assert (!best > min_int);
-        store_memo memo key !best;
-        !best
+        explore core ~depth:0 ~seed:(seed_score p) ~settled:no_settle key p
   in
-  let value p = value_in memo segments pruned misses cuts ~depth:0 p in
   let root =
     match advance_to_job cursor 0 (Bank.create ?initial ~n_batteries disc) with
     | Next p -> p
     | Exhausted -> raise Load_too_short
     | Terminal _ -> assert false
   in
-  (* Root evaluation.  Both paths go one first-decision branch at a
-     time, so that on budget exhaustion every branch completed so far
-     is a fully-memoized, exact subtree — the anytime result below
-     replays the best of them.  [completed] collects (choice, value) in
-     evaluation order; [trip_info] latches the first budget trip. *)
-  let root_choices = choices root in
-  let completed = ref [] in
-  let trip_info = ref None in
   (* Incumbent: one best-of-two policy run — the same floor the anytime
      fallback uses — scores a schedule that is a path of this very tree,
      so its score never exceeds the true optimum and seeding the root
@@ -418,152 +469,26 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
         | None -> min_int
         | Some steps -> score (steps, Bank.stranded_units o.Simulator.final))
   in
-  let eval_serial () =
-    match find_memo memo (Key.of_pos root) with
-    | Some _ -> incr pruned
-    | None ->
-        incr misses;
-        Obs.observe h_depth 0;
-        (* the position note goes inside the try: a budget shared
-           across searches may already be tripped on entry, and that
-           must surface as an anytime status, not an exception *)
-        (try
-           note_position ();
-           let best = ref incumbent_floor in
-           List.iter
-             (fun ((b, skip_final) as c) ->
-               incr segments;
-               charge ();
-               match run_segment cursor ~switch_delay ~skip_final root b with
-               | Terminal t ->
-                   completed := (c, score t) :: !completed;
-                   if score t > !best then best := score t
-               | Next p' -> (
-                   match find_memo memo (Key.of_pos p') with
-                   | Some v ->
-                       incr pruned;
-                       completed := (c, v) :: !completed;
-                       if v > !best then best := v
-                   | None ->
-                       let cut =
-                         match bound with
-                         | Some bd -> (
-                             match score_ub bd p' with
-                             | Some ub -> ub <= !best
-                             | None -> false)
-                         | None -> false
-                       in
-                       if cut then incr cuts
-                       else begin
-                         let v =
-                           value_in memo segments pruned misses cuts ~depth:1
-                             p'
-                         in
-                         completed := (c, v) :: !completed;
-                         if v > !best then best := v
-                       end)
-               | Exhausted -> raise Load_too_short)
-             root_choices
-         with Guard.Budget.Tripped r -> trip_info := Some r);
-        if !trip_info = None then begin
-          let best =
-            List.fold_left (fun acc (_, v) -> max acc v) incumbent_floor
-              !completed
-          in
-          (* a decision point always has at least one alive battery *)
-          assert (best > min_int);
-          store_memo memo (Key.of_pos root) best
-        end
-  in
-  (* Root fan-out: each first decision is searched in its own domain
-     with a private memo table (values are exact, so any table agrees
-     with any other on shared keys), then the tables are merged into
-     [memo] and the root entry derived from the branch values.  The
-     replay below then runs against the merged table and reproduces the
-     serial schedule exactly — branch values are the same integers the
-     serial search computes.  A shared budget stops all branches: the
-     first trip latches the budget's cancel token, and every sibling
-     unwinds at its next charge; tripped branches return [None], and
-     their partial tables still merge — each entry is exact. *)
-  let eval_pooled pool =
-    let root_choices = Array.of_list root_choices in
-    (* Branches prune against the up-front incumbent only — a fixed
-       threshold every domain sees identically, so which branches are
-       cut never depends on completion order.  A cut branch is settled
-       (its value is provably <= the incumbent, which the root max
-       already includes), so cuts count towards completion. *)
-    let branch (b, skip_final) =
-      let memo = Tbl.create 4096 in
-      let segments = ref 0
-      and pruned = ref 0
-      and misses = ref 0
-      and cuts = ref 0 in
-      match
-        (incr segments;
-         charge ();
-         match run_segment cursor ~switch_delay ~skip_final root b with
-         | Terminal t -> `Value (score t)
-         | Next p' ->
-             let cut =
-               match bound with
-               | Some bd -> (
-                   match score_ub bd p' with
-                   | Some ub -> ub <= incumbent_floor
-                   | None -> false)
-               | None -> false
-             in
-             if cut then begin
-               incr cuts;
-               `Cut
-             end
-             else `Value (value_in memo segments pruned misses cuts ~depth:1 p')
-         | Exhausted -> raise Load_too_short)
-      with
-      | outcome -> (outcome, memo, !segments, !pruned, !misses, !cuts)
-      | exception Guard.Budget.Tripped _ ->
-          (`Tripped, memo, !segments, !pruned, !misses, !cuts)
-    in
-    let branches =
-      Exec.Pool.parallel_init ~chunk:1 pool (Array.length root_choices)
-        (fun i -> Obs.time ~index:i s_branch (fun () -> branch root_choices.(i)))
-    in
-    let settled = ref 0 in
-    Array.iteri
-      (fun i (o, m, s, pr, mi, cu) ->
-        segments := !segments + s;
-        pruned := !pruned + pr;
-        misses := !misses + mi;
-        cuts := !cuts + cu;
-        Tbl.iter (fun k v -> Tbl.replace memo k v) m;
-        match o with
-        | `Value v ->
-            incr settled;
-            completed := (root_choices.(i), v) :: !completed
-        | `Cut -> incr settled
-        | `Tripped -> ())
-      branches;
-    if !settled = Array.length root_choices then begin
-      let best =
-        List.fold_left (fun acc (_, v) -> max acc v) incumbent_floor !completed
+  (* The root is searched one first-decision branch at a time, so on
+     budget exhaustion every branch settled so far is a fully-memoized,
+     exact subtree — the anytime result below replays the best of them.
+     [completed] collects (choice, value) in evaluation order; [trip_info]
+     latches the budget trip.  The position note sits inside the [try]: a
+     budget shared across searches may already be tripped on entry, and
+     that must surface as an anytime status, not an exception. *)
+  let completed = ref [] in
+  let trip_info = ref None in
+  let root_key = Key.of_pos root in
+  (match lookup core root_key with
+  | Some _ -> incr core.hits
+  | None -> (
+      let settled b skip_final v =
+        completed := ((b, skip_final), v) :: !completed
       in
-      store_memo memo (Key.of_pos root) best
-    end
-    else
-      trip_info :=
-        Some
-          (match budget with
-          | Some b -> (
-              match Guard.Budget.tripped b with
-              | Some r -> r
-              | None -> Guard.Budget.Cancelled)
-          | None -> Guard.Budget.Cancelled)
-  in
-  (* A checkpointed search runs serially: the snapshot cadence is tied
-     to the one shared memo table. *)
-  (match pool with
-  | Some pool when checkpoint = None && List.length root_choices > 1 ->
-      eval_pooled pool
-  | _ -> eval_serial ());
+      try
+        ignore
+          (explore core ~depth:0 ~seed:incumbent_floor ~settled root_key root)
+      with Guard.Budget.Tripped r -> trip_info := Some r));
   armed := false;
   (* Final snapshot: a completed run leaves a full-resume cache; a
      tripped run leaves every subtree it solved. *)
@@ -576,14 +501,14 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
     {
       positions_explored = Tbl.length memo;
       segments_run = !segments;
-      pruned = !pruned;
-      bound_cuts = !cuts;
+      pruned = !(core.hits);
+      bound_cuts = !(core.cuts);
     }
   in
   Obs.add c_positions stats.positions_explored;
   Obs.add c_segments stats.segments_run;
   Obs.add c_memo_hits stats.pruned;
-  Obs.add c_memo_misses !misses;
+  Obs.add c_memo_misses !(core.misses);
   Obs.add c_bound_cuts stats.bound_cuts;
   (* Reconstruct one optimal schedule by replaying, at each position,
      the first choice whose exact value matches the position's own — the
@@ -593,10 +518,16 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
      being evaluated; a child the search itself cut may have to be
      evaluated here (it memoizes as it goes, after the stats snapshot
      above and with the budget disarmed). *)
+  let skip_options = if allow_final_draw_skip then [ false; true ] else [ false ] in
+  let choices (p : pos) =
+    List.concat_map
+      (fun b -> List.map (fun sk -> (b, sk)) skip_options)
+      (Bank.alive p.bank)
+  in
   let schedule = ref [] in
   let final = ref (0, 0) in
   let rec replay (p : pos) =
-    let v_star = value p in
+    let v_star = value (Key.of_pos p) p in
     let rec pick = function
       | [] -> assert false
       | (b, skip_final) :: rest -> (
@@ -604,15 +535,11 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
           | Terminal t ->
               if score t = v_star then (b, None, Some t) else pick rest
           | Next p' ->
-              let skip =
-                match bound with
-                | Some bd when not (Tbl.mem memo (Key.of_pos p')) -> (
-                    match score_ub bd p' with
-                    | Some ub -> ub < v_star
-                    | None -> false)
-                | _ -> false
-              in
-              if (not skip) && value p' = v_star then (b, Some p', None)
+              let key = Key.of_pos p' in
+              let ub = upper p' in
+              if ub < Bound.infinite && ub < v_star && not (Tbl.mem memo key)
+              then pick rest
+              else if value key p' = v_star then (b, Some p', None)
               else pick rest
           | Exhausted -> raise Load_too_short)
     in
@@ -684,228 +611,93 @@ let search ?pool ?budget ?checkpoint ?shared ?(switch_delay = 1)
             stats;
           })
 
-let lifetime ?pool ?budget ?switch_delay ?objective ?bounds
-    ?allow_final_draw_skip ?initial ~n_batteries disc load =
+let lifetime ?budget ?switch_delay ?objective ?bounds ?allow_final_draw_skip
+    ?initial ~n_batteries disc load =
   Dkibam.Discretization.minutes_of_steps disc
-    (search ?pool ?budget ?switch_delay ?objective ?bounds
-       ?allow_final_draw_skip ?initial ~n_batteries disc load)
+    (search ?budget ?switch_delay ?objective ?bounds ?allow_final_draw_skip
+       ?initial ~n_batteries disc load)
       .lifetime_steps
 
 (* ------------------------------------------------------------------ *)
 (* Suffix planning with a terminal bound — the Horizon policy's core   *)
 (* ------------------------------------------------------------------ *)
 
-type planner = {
-  p_cursor : Loads.Cursor.t;
-  p_bound : Bound.t;
-  p_bounds_on : bool;
-  p_switch_delay : int;
-  (* Memo entries are exact window values; the frontier epoch is part of
-     the key because the same position has a different value under a
-     different window.  Successive plans at the same frontier (mid-job
-     replans, and every plan once the window covers the whole load)
-     therefore share subtrees across decisions. *)
-  p_memo : int Tbl.t;
-  (* Cross-planner shared store: window values under the same scope
-     fingerprint (load + pack + switch delay) are exact, so re-plans
-     from different requests — and different worker domains — reuse
-     each other's subtrees.  Lookup falls through the private table;
-     stores publish to both. *)
-  p_shared : Memo.scope option;
-}
+(* A planner is the core's per-load template; each [plan] fills in its
+   frontier and budget.  Memo entries are exact window values keyed by
+   frontier (the same position has a different value under a different
+   window), so successive plans at the same frontier — mid-job replans,
+   and every plan once the window covers the whole load — share
+   subtrees, and so do planners sharing one [Memo.scope]. *)
+type planner = core
 
 type plan = { plan_choice : int; plan_value : int }
 
 let planner ?(switch_delay = 1) ?bounds ?shared (disc : Dkibam.Discretization.t)
     (cursor : Loads.Cursor.t) =
   let bounds_on = match bounds with Some b -> b | None -> bounds_default () in
+  let bd = Bound.create ~switch_delay ~allow_final_draw_skip:false disc cursor in
   {
-    p_cursor = cursor;
-    p_bound =
-      Bound.create ~switch_delay ~allow_final_draw_skip:false disc cursor;
-    p_bounds_on = bounds_on;
-    p_switch_delay = switch_delay;
-    p_memo = Tbl.create 1024;
-    p_shared = shared;
+    cursor;
+    switch_delay;
+    skip_too = false;
+    frontier = max_int;
+    (* Admissible terminal value at the window frontier: the
+       pooled-recovery lower bound — every continuation from the
+       frontier survives to at least this step ([Bound.infinite]: none
+       can die within the load). *)
+    at_frontier =
+      (fun p -> Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank);
+    terminal = fst;
+    exhausted = (fun () -> Bound.infinite);
+    seed = (fun _ -> min_int);
+    upper =
+      (if bounds_on then fun p ->
+         Bound.lifetime_ub bd ~y:p.y ~local:p.local p.bank
+       else fun _ -> Bound.infinite);
+    key = (fun p -> Key.of_pos p);
+    memo = Tbl.create 1024;
+    shared;
+    charge = ignore;
+    on_position = ignore;
+    segments = ref 0;
+    hits = ref 0;
+    misses = ref 0;
+    cuts = ref 0;
   }
 
-let plan ?budget t ~frontier_epoch ~y ~local bank =
-  let cursor = t.p_cursor and bd = t.p_bound in
-  let switch_delay = t.p_switch_delay in
-  if y < 0 || y >= Loads.Cursor.epoch_count cursor then
+(* Every window value is a death step some continuation is proven to
+   reach (or [Bound.infinite]), so committing the argmax is
+   well-founded.  Cuts drop children whose lifetime upper bound cannot
+   beat an already-achieved sibling value: the dropped child's window
+   value is [<= ub <= best], so the stored max — and, because [best]
+   only ever grows along the first-max fold, the argmax committed at the
+   root — are unchanged (the bit-identity argument of [search]). *)
+let plan ?budget (t : planner) ~frontier_epoch ~y ~local bank =
+  if y < 0 || y >= Loads.Cursor.epoch_count t.cursor then
     invalid_arg "Sched.Optimal.plan: y out of range";
-  if local < 0 || local >= Loads.Cursor.epoch_len cursor y then
+  if local < 0 || local >= Loads.Cursor.epoch_len t.cursor y then
     invalid_arg "Sched.Optimal.plan: local out of range";
   if Bank.alive bank = [] then
     invalid_arg "Sched.Optimal.plan: no battery alive";
-  let charge () =
-    match budget with
-    | Some b -> Guard.Budget.charge_segment_exn b
-    | None -> ()
-  in
-  (* Admissible terminal value at the window frontier: the pooled-recovery
-     lower bound — every continuation from the frontier survives to at
-     least this step ([Bound.infinite]: none can die within the load). *)
-  let terminal (p : pos) = Bound.lifetime_lb bd ~y:p.y ~local:p.local p.bank in
-  let key_of (p : pos) =
-    let k = Key.of_pos p in
-    let key = Array.make (Array.length k + 1) frontier_epoch in
-    Array.blit k 0 key 1 (Array.length k);
-    key
-  in
-  (* Certified value of a position inside the window: max over battery
-     choices of (death step | terminal bound at the frontier |
-     [Bound.infinite] when the load ends first).  Every value is a death
-     step some continuation is proven to reach — committing the argmax
-     is therefore well-founded.  Cuts drop children whose lifetime upper
-     bound cannot beat an already-achieved sibling value: the dropped
-     child's window value is [<= ub <= best], so the stored max — and,
-     because [best] only ever grows along the first-max fold, the argmax
-     committed at the root — are unchanged (the bit-identity argument of
-     [search], replayed here). *)
-  let lookup key =
-    match Tbl.find_opt t.p_memo key with
-    | Some _ as v -> v
-    | None -> (
-        match t.p_shared with
-        | None -> None
-        | Some s -> (
-            match Memo.find s key with
-            | Some v ->
-                Tbl.replace t.p_memo key v;
-                Some v
-            | None -> None))
-  in
-  let store key v =
-    Tbl.replace t.p_memo key v;
-    match t.p_shared with Some s -> Memo.add s key v | None -> ()
-  in
-  let rec value (p : pos) =
-    let key = key_of p in
-    match lookup key with
-    | Some v -> v
-    | None ->
-        let best = ref min_int in
-        List.iter
-          (fun b ->
-            let v = child !best p b in
-            if v > !best then best := v)
-          (Bank.alive p.bank);
-        store key !best;
-        !best
-  and child best (p : pos) b =
-    charge ();
-    match run_segment cursor ~switch_delay ~skip_final:false p b with
-    | Terminal (step, _) -> step
-    | Exhausted -> Bound.infinite
-    | Next p' -> (
-        if p'.y >= frontier_epoch then terminal p'
-        else
-          (* memoized children — local or shared — are looked up before
-             the bound check, exactly as [search] does *)
-          match lookup (key_of p') with
-          | Some v -> v
-          | None ->
-              if
-                t.p_bounds_on
-                &&
-                let ub = Bound.lifetime_ub bd ~y:p'.y ~local:p'.local p'.bank in
-                ub < Bound.infinite && ub <= best
-              then min_int
-              else value p')
+  let c =
+    {
+      t with
+      frontier = frontier_epoch;
+      key = Key.of_pos ~frontier:frontier_epoch;
+      charge =
+        (match budget with
+        | Some b -> fun () -> Guard.Budget.charge_segment_exn b
+        | None -> ignore);
+    }
   in
   let root = { y; local; bank } in
-  match
-    let best_b = ref (-1) and best_v = ref min_int in
-    List.iter
-      (fun b ->
-        let v = child !best_v root b in
-        if v > !best_v then begin
-          best_v := v;
-          best_b := b
-        end)
-      (Bank.alive bank);
-    store (key_of root) !best_v;
-    { plan_choice = !best_b; plan_value = !best_v }
-  with
-  | p -> Some p
-  | exception Guard.Budget.Tripped _ -> None
-
-let lookahead_policy ?(switch_delay = 1) ?(allow_final_draw_skip = false)
-    ~depth (disc : Dkibam.Discretization.t) (load : Loads.Arrays.t) =
-  if depth < 1 then invalid_arg "Sched.Optimal.lookahead_policy: depth >= 1";
-  Loads.Arrays.check_compatible load ~time_step:disc.time_step
-    ~charge_unit:disc.charge_unit;
-  let cursor = Loads.Cursor.make load in
-  let skip_options = if allow_final_draw_skip then [ false; true ] else [ false ] in
-  (* score of continuing from [p] with [d] decisions of lookahead left:
-     (died?, death step or frontier charge) encoded so that later deaths
-     beat earlier ones and any survivor beats every death.  The frontier
-     score is the remaining available charge over alive batteries. *)
-  let survivor_bonus = 1 lsl 40 in
-  let rec value d (p : pos) =
-    if d = 0 then survivor_bonus + Bank.alive_available_milli p.bank
-    else begin
-      let best = ref min_int in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun skip_final ->
-              let v =
-                match run_segment cursor ~switch_delay ~skip_final p b with
-                | Terminal (step, _) -> step
-                | Next p' -> value (d - 1) p'
-                | Exhausted ->
-                    (* outliving the load is the best possible outcome *)
-                    survivor_bonus * 2
-              in
-              if v > !best then best := v)
-            skip_options)
-        (Bank.alive p.bank);
-      !best
+  let choice = ref (-1) and best = ref min_int in
+  let settled b _ v =
+    if v > !best then begin
+      best := v;
+      choice := b
     end
   in
-  let decide (ctx : Policy.decision_context) =
-    let epoch_start_step = Loads.Cursor.epoch_start cursor ctx.epoch_index in
-    (* at a mid-job hand-over the simulator applies the switch delay
-       after consulting the policy: model the continuation from the
-       post-delay state *)
-    let delay = if ctx.mid_job then switch_delay else 0 in
-    let p =
-      {
-        y = ctx.epoch_index;
-        local = ctx.step - epoch_start_step + delay;
-        bank =
-          Bank.of_parts disc
-            ~batteries:
-              (Array.map (fun b -> Dkibam.Battery.tick_many disc delay b)
-                 ctx.batteries)
-            ~dead:
-              (Array.init (Array.length ctx.batteries) (fun i ->
-                   not (List.mem i ctx.alive)));
-      }
-    in
-    let scored =
-      List.map
-        (fun b ->
-          let v =
-            List.fold_left
-              (fun acc skip_final ->
-                let v =
-                  match run_segment cursor ~switch_delay ~skip_final p b with
-                  | Terminal (step, _) -> step
-                  | Next p' -> value (depth - 1) p'
-                  | Exhausted -> survivor_bonus * 2
-                in
-                max acc v)
-              min_int skip_options
-          in
-          (b, v))
-        ctx.alive
-    in
-    fst
-      (List.fold_left
-         (fun (bb, bv) (b, v) -> if v > bv then (b, v) else (bb, bv))
-         (-1, min_int) scored)
-  in
-  Policy.Custom decide
+  match explore c ~depth:0 ~seed:min_int ~settled (c.key root) root with
+  | v -> Some { plan_choice = !choice; plan_value = v }
+  | exception Guard.Budget.Tripped _ -> None

@@ -20,7 +20,9 @@
     returned lifetime, stranded charge and schedule are bit-identical
     with bounds on or off (asserted in the differential test suite);
     memo entries stay exact subtree values in both modes, which keeps
-    the parallel root fan-out and checkpoint resume trivially correct.
+    checkpoint resume and the shared {!Memo} store trivially correct.
+    One memoized, bound-pruned recursion serves the search's root, its
+    interior and {!plan}; they differ only in data fixed per call.
     Bounds are on by default; pass [~bounds:false] (or export
     [BATSCHED_NO_BOUNDS=1]) for the unpruned A/B reference —
     see doc/PERFORMANCE.md.
@@ -35,9 +37,9 @@
     [optimal.memo_hits] / [optimal.memo_misses] /
     [optimal.bound_cuts] counters (all but the miss count mirror
     {!stats} exactly — asserted in the test suite), the
-    [optimal.depth] histogram and the [optimal.search] /
-    [optimal.branch] spans; see doc/OBSERVABILITY.md.  Results are
-    bit-identical with observability on or off. *)
+    [optimal.depth] histogram and the [optimal.search] span; see
+    doc/OBSERVABILITY.md.  Results are bit-identical with observability
+    on or off. *)
 
 type objective =
   | Max_lifetime  (** maximize the last battery's death time (default) *)
@@ -104,25 +106,13 @@ type result = {
 and stats = {
   positions_explored : int;
       (** memo table size — distinct (decision point, battery multiset)
-          positions solved.  With bounds off, identical between the
-          serial and pooled searches: the per-branch tables union to
-          the same set.  With bounds on the pooled search may solve
-          more positions: its branches cut only against the fixed
-          incumbent (never against values arriving from concurrent
-          siblings, to keep cut decisions deterministic), so it prunes
-          less than the serial loop — the results are still
-          bit-identical, only the work differs. *)
+          positions solved. *)
   segments_run : int;
       (** deterministic segment simulations during the search (the
-          replay's lookups are excluded).  Under [?pool] this exceeds
-          the serial count: branches explored privately in two domains
-          are simulated in both — redundancy is the price of sharing
-          nothing. *)
+          replay's lookups are excluded). *)
   pruned : int;
       (** subtree explorations cut short by a memo hit — the §4.4
-          confluence at work.  Counted per table, so the pooled search
-          reports the sum over its private branch tables, not the
-          serial figure. *)
+          confluence at work. *)
   bound_cuts : int;
       (** subtrees dropped unexplored because their {!Bound} score upper
           bound could not beat an already-known sibling value (or, at
@@ -150,7 +140,6 @@ exception Load_too_short
     meaningful schedules that serve the whole load. *)
 
 val search :
-  ?pool:Exec.Pool.t ->
   ?budget:Guard.Budget.t ->
   ?checkpoint:checkpoint ->
   ?shared:Memo.t ->
@@ -175,19 +164,10 @@ val search :
     only the work statistics ([segments_run], [positions_explored],
     [bound_cuts]) and the wall time change.
 
-    [pool] explores the first-decision branches in parallel, one domain
-    pool task per branch, each with a private memo table; the tables are
-    merged before the schedule is reconstructed.  Because every memo
-    entry is an {e exact} subtree value (never a bound), the merge is
-    order-independent and the returned lifetime, stranded charge and
-    schedule are identical to the serial search — asserted over all ten
-    Table 5 loads in the test suite.  Only the work statistics differ
-    (see {!stats}).
-
     [budget] bounds the work; on exhaustion the result carries
     [Budget_exhausted] and an anytime schedule (see the section above).
-    A budget may be shared with other searches and with the pool — its
-    first trip cancels them all promptly.  [Load_too_short] is still
+    A budget may be shared with other searches — its first trip
+    cancels them all promptly.  [Load_too_short] is still
     raised if even the fallback policy outlives the load.
 
     [checkpoint] snapshots the memo table to [checkpoint.path] every
@@ -201,8 +181,7 @@ val search :
     snapshot written with bounds on resumes soundly with bounds off and
     vice versa; the snapshot magic is [sched.optimal.memo.v2], and a
     pre-bounds [v1] snapshot (or any other magic/fingerprint mismatch)
-    raises {!Guard.Error.Error} rather than resuming from garbage.  A
-    checkpointed search ignores [pool] and runs serially.
+    raises {!Guard.Error.Error} rather than resuming from garbage.
 
     [shared] plugs a process-wide {!Memo} store under the private memo
     table: lookups fall through to the store, and every exact value
@@ -216,7 +195,6 @@ val search :
     cold.  Asserted by [test/test_memo.ml]. *)
 
 val lifetime :
-  ?pool:Exec.Pool.t ->
   ?budget:Guard.Budget.t ->
   ?switch_delay:int ->
   ?objective:objective ->
@@ -228,32 +206,8 @@ val lifetime :
   Loads.Arrays.t ->
   float
 (** Optimal system lifetime in minutes ([search] composed with
-    {!Dkibam.Discretization.minutes_of_steps}; [pool] and [budget] as in
-    [search] — under a tripped budget this is the anytime lifetime). *)
-
-(** {2 Bounded lookahead}
-
-    Between best-of (depth 0 heuristics) and the exhaustive search lies a
-    spectrum: evaluate each candidate battery by searching only [depth]
-    scheduling decisions ahead and scoring the frontier heuristically
-    (died: by death time; alive: by remaining available charge).  Such a
-    policy is implementable on a real device — it needs only bounded
-    knowledge of the upcoming load — which is exactly the gap the paper's
-    conclusion points at ("the optimal scheduler can only be used when
-    the load is known in advance").  The ablation bench sweeps [depth]
-    from 1 upward and watches the lifetimes climb toward the optimum. *)
-
-val lookahead_policy :
-  ?switch_delay:int ->
-  ?allow_final_draw_skip:bool ->
-  depth:int ->
-  Dkibam.Discretization.t ->
-  Loads.Arrays.t ->
-  Policy.t
-(** [lookahead_policy ~depth disc load]: a {!Policy.Custom} that searches
-    [depth >= 1] decisions ahead at every scheduling point.  The policy
-    closes over [load]; feeding it to a simulation of a different load
-    raises [Invalid_argument]. *)
+    {!Dkibam.Discretization.minutes_of_steps}; [budget] as in [search]
+    — under a tripped budget this is the anytime lifetime). *)
 
 (** {2 Suffix planning with a terminal bound}
 

@@ -377,8 +377,7 @@ let compare_json ctx ?budget ~degrade (t : Protocol.target) =
       Some "overload" )
   else
     let r =
-      Optimal.search ?pool:ctx.hpool ?budget ~shared:ctx.memo ~n_batteries disc
-        arrays
+      Optimal.search ?budget ~shared:ctx.memo ~n_batteries disc arrays
     in
     let status, degraded =
       match r.Optimal.status with
@@ -400,8 +399,7 @@ let schedule_response ctx ?budget ~degrade (t : Protocol.target) =
       Some "overload" )
   else
     schedule_json disc
-      (Optimal.search ?pool:ctx.hpool ?budget ~shared:ctx.memo ~n_batteries disc
-         arrays)
+      (Optimal.search ?budget ~shared:ctx.memo ~n_batteries disc arrays)
 
 let quantiles_json qs =
   Json.List

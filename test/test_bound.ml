@@ -161,7 +161,7 @@ let test_differential_random () =
 (* A policy that records every decision context while delegating the
    actual choice, so a simulated run yields the exact search positions
    it passed through.  The ctx -> position construction mirrors
-   [Optimal.lookahead_policy]: at a mid-job hand-over the simulator
+   [Sched.Horizon]: at a mid-job hand-over the simulator
    applies the switch delay after consulting the policy, so the bound is
    queried at the post-delay state. *)
 let recording_policy inner recorded =

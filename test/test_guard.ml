@@ -477,24 +477,6 @@ let test_optimal_tight_budget_anytime () =
     [ 1; 5; 50; 500 ];
   check_bool "tight budgets did trip" true (!exhausted_seen >= 8)
 
-let test_optimal_budget_shared_with_pool () =
-  (* pooled search under a tripping budget still returns an anytime
-     result (the trip cancels sibling branches), and an ample budget
-     stays bit-identical to serial *)
-  let a = arrays Loads.Testloads.ILs_alt in
-  Exec.Pool.with_pool ~domains:4 (fun pool ->
-      let plain = Sched.Optimal.search ~n_batteries:2 disc a in
-      let ample = Guard.Budget.create ~deadline_s:3600.0 () in
-      let r = Sched.Optimal.search ~pool ~budget:ample ~n_batteries:2 disc a in
-      check_status "ample pooled" `Optimal r;
-      check_int "pooled lifetime" plain.lifetime_steps r.lifetime_steps;
-      Alcotest.(check (array int)) "pooled schedule" plain.schedule r.schedule;
-      let tight = Guard.Budget.create ~max_segments:5 () in
-      let r = Sched.Optimal.search ~pool ~budget:tight ~n_batteries:2 disc a in
-      check_status "tight pooled" `Exhausted r;
-      if r.lifetime_steps < best_of_steps a then
-        Alcotest.fail "pooled anytime below best-of floor")
-
 let test_optimal_checkpoint_trip_then_resume () =
   (* kill a search mid-flight via a budget, then resume from its
      snapshot without a budget: bit-identical to an uninterrupted run *)
@@ -763,8 +745,6 @@ let () =
           Alcotest.test_case "ample budget bit-identical" `Quick
             test_optimal_ample_budget_bit_identical;
           Alcotest.test_case "tight budget anytime" `Quick test_optimal_tight_budget_anytime;
-          Alcotest.test_case "budget shared with pool" `Quick
-            test_optimal_budget_shared_with_pool;
           Alcotest.test_case "checkpoint trip then resume" `Quick
             test_optimal_checkpoint_trip_then_resume;
           Alcotest.test_case "resume fingerprint mismatch" `Quick

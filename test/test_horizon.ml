@@ -155,11 +155,16 @@ let test_certificate_admissible_and_realized () =
               in
               if realized < p.plan_value then
                 Alcotest.failf "%s: realized %d below certificate %d" what
-                  realized p.plan_value)
+                  realized p.plan_value;
+              if realized > exact.lifetime_steps then
+                Alcotest.failf "%s: realized %d beats optimum %d" what
+                  realized exact.lifetime_steps)
         [ 1; 2; 4 ])
     [
       Loads.Testloads.CL_500;
+      Loads.Testloads.CL_alt;
       Loads.Testloads.ILs_alt;
+      Loads.Testloads.ILs_r1;
       Loads.Testloads.ILl_250;
     ]
 

@@ -1,5 +1,4 @@
-(* Tests for the numerics substrate: root finding, ODE integration,
-   interpolation. *)
+(* Tests for the numerics substrate: root finding and ODE integration. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
@@ -130,56 +129,6 @@ let test_bad_dt () =
     (Invalid_argument "Ode.integrate: dt must be positive") (fun () ->
       ignore (Numerics.Ode.integrate ~f:decay ~t0:0.0 ~t1:1.0 ~dt:0.0 [| 1.0 |]))
 
-(* ------------------------------------------------------------------ *)
-(* Interp                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_interp_exact_at_knots () =
-  let f = Numerics.Interp.of_points [| (0.0, 1.0); (1.0, 3.0); (2.0, 2.0) |] in
-  check_float "knot 0" 1.0 (Numerics.Interp.eval f 0.0);
-  check_float "knot 1" 3.0 (Numerics.Interp.eval f 1.0);
-  check_float "knot 2" 2.0 (Numerics.Interp.eval f 2.0)
-
-let test_interp_midpoints () =
-  let f = Numerics.Interp.of_points [| (0.0, 1.0); (1.0, 3.0) |] in
-  check_float "midpoint" 2.0 (Numerics.Interp.eval f 0.5)
-
-let test_interp_extrapolation_constant () =
-  let f = Numerics.Interp.of_points [| (0.0, 1.0); (1.0, 3.0) |] in
-  check_float "left" 1.0 (Numerics.Interp.eval f (-5.0));
-  check_float "right" 3.0 (Numerics.Interp.eval f 10.0)
-
-let test_interp_validation () =
-  Alcotest.check_raises "not increasing"
-    (Invalid_argument "Interp.of_points: abscissae must be strictly increasing")
-    (fun () -> ignore (Numerics.Interp.of_points [| (1.0, 0.0); (1.0, 1.0) |]))
-
-let test_interp_resample_and_diff () =
-  let f = Numerics.Interp.of_points [| (0.0, 0.0); (4.0, 4.0) |] in
-  let pts = Numerics.Interp.resample f ~lo:0.0 ~hi:4.0 ~n:5 in
-  Alcotest.(check int) "5 samples" 5 (Array.length pts);
-  check_float "sample 2" 2.0 (snd pts.(2));
-  let g = Numerics.Interp.of_points [| (0.0, 0.5); (4.0, 4.5) |] in
-  check_float "uniform offset" 0.5
-    (Numerics.Interp.max_abs_diff f g ~lo:0.0 ~hi:4.0 ~n:17)
-
-let prop_interp_between_bounds =
-  QCheck.Test.make ~name:"interpolation stays within knot value range"
-    ~count:200
-    QCheck.(list_of_size (Gen.int_range 2 10) (float_range (-100.0) 100.0))
-    (fun ys ->
-      let pts = Array.of_list (List.mapi (fun i y -> (float_of_int i, y)) ys) in
-      let f = Numerics.Interp.of_points pts in
-      let lo = List.fold_left Float.min infinity ys in
-      let hi = List.fold_left Float.max neg_infinity ys in
-      let ok = ref true in
-      for k = 0 to 50 do
-        let x = float_of_int (List.length ys - 1) *. float_of_int k /. 50.0 in
-        let v = Numerics.Interp.eval f x in
-        if v < lo -. 1e-9 || v > hi +. 1e-9 then ok := false
-      done;
-      !ok)
-
 let () =
   Alcotest.run "numerics"
     [
@@ -207,16 +156,5 @@ let () =
           Alcotest.test_case "integrate_until no event" `Quick
             test_integrate_until_no_event;
           Alcotest.test_case "dt validation" `Quick test_bad_dt;
-        ] );
-      ( "interp",
-        [
-          Alcotest.test_case "exact at knots" `Quick test_interp_exact_at_knots;
-          Alcotest.test_case "midpoints" `Quick test_interp_midpoints;
-          Alcotest.test_case "constant extrapolation" `Quick
-            test_interp_extrapolation_constant;
-          Alcotest.test_case "validation" `Quick test_interp_validation;
-          Alcotest.test_case "resample and max diff" `Quick
-            test_interp_resample_and_diff;
-          QCheck_alcotest.to_alcotest prop_interp_between_bounds;
         ] );
     ]

@@ -377,49 +377,6 @@ let test_analysis_bad_baseline () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Lookahead policy                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_lookahead_converges_to_optimal () =
-  let a = arrays Loads.Testloads.ILs_alt in
-  let opt = Sched.Optimal.lifetime ~n_batteries:2 disc a in
-  let policy = Sched.Optimal.lookahead_policy ~depth:6 disc a in
-  let lt = Sched.Simulator.lifetime_exn ~n_batteries:2 ~policy disc a in
-  Alcotest.(check bool)
-    (Printf.sprintf "depth 6 (%.2f) within 0.05 of optimal (%.2f)" lt opt)
-    true
-    (opt -. lt <= 0.05)
-
-let test_lookahead_never_beats_optimal () =
-  List.iter
-    (fun name ->
-      let a = arrays name in
-      let opt = Sched.Optimal.lifetime ~n_batteries:2 disc a in
-      List.iter
-        (fun depth ->
-          let policy = Sched.Optimal.lookahead_policy ~depth disc a in
-          let lt = Sched.Simulator.lifetime_exn ~n_batteries:2 ~policy disc a in
-          if lt > opt +. 1e-9 then
-            Alcotest.failf "%s depth %d: lookahead %.4f beats optimal %.4f"
-              (Loads.Testloads.to_string name)
-              depth lt opt)
-        [ 1; 2; 4 ])
-    [ Loads.Testloads.ILs_alt; Loads.Testloads.CL_alt ]
-
-let test_lookahead_validation () =
-  let a = arrays Loads.Testloads.ILs_alt in
-  Alcotest.(check bool) "depth 0 rejected" true
-    (try ignore (Sched.Optimal.lookahead_policy ~depth:0 disc a); false
-     with Invalid_argument _ -> true)
-
-let test_lookahead_r1_reaches_optimum () =
-  (* the r1 load is where lookahead shines: +26%% over best-of at depth 6 *)
-  let a = arrays Loads.Testloads.ILs_r1 in
-  let policy = Sched.Optimal.lookahead_policy ~depth:6 disc a in
-  let lt = Sched.Simulator.lifetime_exn ~n_batteries:2 ~policy disc a in
-  Alcotest.(check (float 0.005)) "20.52" 20.52 lt
-
-(* ------------------------------------------------------------------ *)
 (* Random-load ensembles                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -654,16 +611,6 @@ let () =
             test_analysis_matches_simulator;
           Alcotest.test_case "custom baseline" `Quick test_analysis_custom_baseline;
           Alcotest.test_case "bad baseline" `Quick test_analysis_bad_baseline;
-        ] );
-      ( "lookahead",
-        [
-          Alcotest.test_case "depth 6 near optimal" `Quick
-            test_lookahead_converges_to_optimal;
-          Alcotest.test_case "never beats optimal" `Quick
-            test_lookahead_never_beats_optimal;
-          Alcotest.test_case "validation" `Quick test_lookahead_validation;
-          Alcotest.test_case "r1 reaches the optimum" `Quick
-            test_lookahead_r1_reaches_optimum;
         ] );
       ( "ensemble",
         [
