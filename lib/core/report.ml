@@ -134,11 +134,11 @@ let horizon_sweep ppf ~load rows =
   Format.fprintf ppf "%12s %14s@." "policy" "lifetime(min)";
   let n = List.length rows in
   List.iteri
-    (fun k (depth, lt) ->
+    (fun i (window, lt) ->
       let label =
-        match depth with
+        match window with
         | Some k -> Sched.Horizon.name ~k ()
-        | None -> if k = 0 then "best-of-two" else if k = n - 1 then "optimal" else "?"
+        | None -> if i = 0 then "best-of-two" else if i = n - 1 then "optimal" else "?"
       in
       Format.fprintf ppf "%12s %14.2f@." label lt)
     rows

@@ -623,7 +623,7 @@ let lifetime ?budget ?switch_delay ?objective ?bounds ?allow_final_draw_skip
 (* ------------------------------------------------------------------ *)
 
 (* A planner is the core's per-load template; each [plan] fills in its
-   frontier and budget.  Memo entries are exact window values keyed by
+   frontier, the frontier-prefixed key and its budget.  Memo entries are exact window values keyed by
    frontier (the same position has a different value under a different
    window), so successive plans at the same frontier — mid-job replans,
    and every plan once the window covers the whole load — share
